@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.parsing.closures import closure_fingerprint
 from repro.service import ParseService, ParserRegistry
 from repro.sql import build_sql_product_line, dialect_features
 from repro.workloads import generate_workload
@@ -99,18 +100,20 @@ def test_bench_batch_throughput(benchmark, workers):
 
 
 def test_bench_disk_cache_load(benchmark, tmp_path):
-    """Loading generated source from the artifact cache vs regenerating."""
+    """Loading the closure artifact from the disk cache vs recompiling."""
     features = dialect_features("core")
     line = build_sql_product_line()
 
     seed_registry = ParserRegistry(line, capacity=8, cache_dir=tmp_path)
     entry = seed_registry.get(features)
-    seed_registry.generated_source(entry)  # populate the artifact
+    seed_registry.closure_program(entry)  # populate the artifacts
 
     def load_from_disk():
         registry = ParserRegistry(line, capacity=8, cache_dir=tmp_path)
         fresh = registry.get(features)
-        return registry.generated_source(fresh)
+        closure = registry.closure_program(fresh)
+        assert registry.metrics.counter("closure_disk_hits") == 1
+        return closure
 
-    source = benchmark(load_from_disk)
-    assert "def parse(" in source
+    closure = benchmark(load_from_disk)
+    assert closure_fingerprint(closure.source) == entry.fingerprint.digest

@@ -22,8 +22,8 @@ composing these features."  This CLI is that interface, terminal-flavoured::
 
 Products are resolved through the process-wide fingerprint-keyed
 registry (:mod:`repro.service`): repeated commands against the same
-selection reuse the composed parser, and ``--cache DIR`` persists
-generated parser source across processes.
+selection reuse the composed parser, and ``--cache DIR`` persists the
+compiled parse program and closure artifacts across processes.
 """
 
 from __future__ import annotations
@@ -146,9 +146,15 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         print(f"sequence: {' -> '.join(product.sequence)}")
         print(f"trace: {product.trace.summary()}")
         if args.emit:
-            # disk-cache aware: with --cache, an unchanged fingerprint
-            # reuses the generated source from a previous process
-            source = service.registry.generated_source(entry)
+            # printed from the entry's parse program, which --cache
+            # loads from disk for an unchanged fingerprint
+            from .parsing import generate_parser_source
+
+            source = generate_parser_source(
+                entry.product.grammar,
+                fingerprint=entry.fingerprint.digest,
+                program=service.registry.parse_program(entry),
+            )
             with open(args.emit, "w") as handle:
                 handle.write(source)
             print(f"wrote generated parser: {args.emit} "
@@ -508,7 +514,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     compose.add_argument("--max-errors", type=int, default=25, metavar="N",
                          help="stop reporting after N syntax errors")
     compose.add_argument("--cache", metavar="DIR",
-                         help="persist generated parser source to DIR, keyed "
+                         help="persist composed-parser artifacts to DIR, keyed "
                               "by fingerprint, and print cache stats")
     compose.set_defaults(fn=_cmd_compose)
 
@@ -524,7 +530,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          "program as <digest>.ir.json)")
     ir.add_argument("--artifacts", action="store_true",
                     help="list every artifact kind for the selection's "
-                         "fingerprint (source/IR/closures) with size and "
+                         "fingerprint (ir/closures/lex) with size and "
                          "staleness instead of the IR listing")
     ir.set_defaults(fn=_cmd_ir)
 
@@ -540,8 +546,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shell.add_argument("--max-errors", type=int, default=25, metavar="N",
                        help="stop reporting after N syntax errors")
     shell.add_argument("--cache", metavar="DIR",
-                       help="on-disk artifact cache for generated parser "
-                            "source (see `.stats` inside the shell)")
+                       help="on-disk composed-parser artifact cache "
+                            "(see `.stats` inside the shell)")
     shell.set_defaults(fn=_cmd_shell)
 
     lint = sub.add_parser(
@@ -632,7 +638,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     translate.add_argument("--json", action="store_true",
                            help="print the versioned transpile report")
     translate.add_argument("--cache", metavar="DIR",
-                           help="persist generated parser source under DIR")
+                           help="persist composed-parser artifacts under DIR")
     translate.set_defaults(fn=_cmd_translate)
 
     stats = sub.add_parser(

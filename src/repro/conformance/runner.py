@@ -136,10 +136,11 @@ class ConformanceRunner:
             per-dialect collectors on :attr:`collectors`.
         cache_dir: On-disk artifact cache directory.  When set, dialects
             resolve through a fingerprint-keyed registry so the parse
-            program, closure source, and generated module are *loaded*
-            from ``<digest>.*`` artifacts when fresh instead of being
-            recompiled — this is what lets CI's per-backend conformance
-            matrix share one composition per dialect across steps.
+            program and closure source are *loaded* from ``<digest>.*``
+            artifacts when fresh instead of being recompiled (the
+            generated module is printed from that program) — this is
+            what lets CI's per-backend conformance matrix share one
+            composition per dialect across steps.
     """
 
     def __init__(
@@ -211,8 +212,8 @@ class ConformanceRunner:
         entry = None
         if self._registry is not None:
             # artifact-cached path: an unchanged fingerprint loads the
-            # parse program (and below, closures / generated source)
-            # from disk instead of recompiling it
+            # parse program (and below, the closures) from disk instead
+            # of recompiling it
             from ..sql import dialect_features
 
             entry = self._registry.get(dialect_features(dialect))
@@ -240,16 +241,8 @@ class ConformanceRunner:
                 )
         generated = None
         if GENERATED in self.backends:
-            if entry is not None:
-                from ..parsing.backends import GeneratedParser
-
-                generated = GeneratedParser(
-                    self._registry.generated_module(entry)
-                )
-            else:
-                generated = get_backend(GENERATED).build(
-                    product, program=program
-                )
+            # printed from the (possibly disk-cached) parse program
+            generated = get_backend(GENERATED).build(product, program=program)
         for case in self.corpus.for_dialect(dialect):
             if case.is_translation:
                 # translation cases assert on the transpiler pipeline

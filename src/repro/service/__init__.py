@@ -17,8 +17,10 @@ Layers:
 * :mod:`repro.service.fingerprint` — canonical cache keys: equivalent
   sparse selections hash to the same :class:`Fingerprint`.
 * :mod:`repro.service.registry` — thread-safe LRU of composed products
-  with single-flight composition and an on-disk artifact cache for
-  generated parser source.
+  with single-flight composition and lazily compiled, per-thread parsers.
+* :mod:`repro.service.artifacts` — the on-disk artifact format: one
+  descriptor per kind (``ir``/``closures``/``lex``) and one
+  load/validate/quarantine/store path for all of them.
 * :mod:`repro.service.service` — :class:`ParseService`:
   ``parse``/``parse_many``/``batch`` over a worker pool (thread- or
   process-backed via ``executor=``), per-request timeout and fuel

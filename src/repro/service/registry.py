@@ -5,26 +5,22 @@ maps :class:`~repro.service.fingerprint.Fingerprint` keys to
 :class:`RegistryEntry` objects holding the composed
 :class:`~repro.core.product_line.ComposedProduct` plus everything needed
 to parse with it — the (shared, immutable) grammar analysis and LL table,
-the scanner, per-thread interpreting parsers, and the generated
-standalone parser module.
+the scanner, the compiled parse program and closure artifact, and
+per-thread parsers.
 
 Three cache layers, cheapest first:
 
 1. **In-memory LRU** of composed products keyed by fingerprint, with
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
-2. **Per-entry lazy compilation**: grammar analysis, the LL table, and
-   generated source are built on first use and shared by every parser of
-   the entry.  Interpreting parsers carry per-parse mutable state, so the
-   entry hands out one parser per thread.
-3. **On-disk artifact cache** (optional): four artifact kinds are
-   persisted under ``cache_dir`` — generated parser source as
-   ``<digest>.py``, the compiled parse-program IR as
-   ``<digest>.ir.json``, the closure-backend source as
-   ``<digest>.closures.py``, and the lexicon (token definitions +
-   start rule, for process-pool worker bootstrap) as
-   ``<digest>.lex.json``.  All embed their fingerprint; a mismatch
-   (stale or corrupted artifact) is detected and the file rebuilt, and a
+2. **Per-entry lazy compilation**: grammar analysis, the LL table, the
+   parse program and the closure artifact are built on first use and
+   shared by every parser of the entry.  Parsers carry per-parse mutable
+   state, so the entry hands out one parser per thread.
+3. **On-disk artifact cache** (optional): the artifact kinds of
+   :mod:`repro.service.artifacts` are persisted under ``cache_dir``.
+   All embed their fingerprint; a mismatch (stale or corrupted
+   artifact) is detected, the file quarantined and rebuilt, and a
    changed selection or sub-grammar changes the digest — automatic
    invalidation.
 """
@@ -44,7 +40,15 @@ from ..resilience.breaker import (
     CircuitBreaker,
 )
 from ..resilience.faults import FaultPlan
-from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
+from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .artifacts import (
+    CLOSURES,
+    IR,
+    KINDS,
+    LEX,
+    ArtifactStore,
+    describe_missing,
+)
 from .fingerprint import Fingerprint, configuration_fingerprint
 from .metrics import ServiceMetrics
 
@@ -54,8 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Default number of composed products kept in memory.
 DEFAULT_CAPACITY = 32
 
-#: Suffix appended to a quarantined (corrupt) on-disk artifact.
-QUARANTINE_SUFFIX = ".bad"
+#: Per-thread parser kinds (see :meth:`RegistryEntry.thread_parser_for`).
+COMPILED, INTERPRETER, CLEAN_ROOM = "compiled", "interpreter", "clean-room"
 
 
 class RegistryEntry:
@@ -64,9 +68,9 @@ class RegistryEntry:
     The grammar analysis, LL table, scanner, and hint provider are
     immutable once built and shared across threads; the interpreting
     :class:`~repro.parsing.parser.Parser` keeps per-parse cursor state on
-    ``self``, so :meth:`thread_parser` maintains one parser per thread
-    over the shared pieces (construction is then just a few attribute
-    assignments).
+    ``self``, so :meth:`thread_parser_for` maintains one parser per thread
+    and kind over the shared pieces (construction is then just a few
+    attribute assignments).
     """
 
     def __init__(
@@ -92,8 +96,6 @@ class RegistryEntry:
         self._hints_built = False
         self._program = None
         self._coverage_map = None
-        self._source: str | None = None
-        self._module = None
         self._closure = None
 
     # -- shared immutable artifacts ---------------------------------------
@@ -138,7 +140,30 @@ class RegistryEntry:
                         return None
         return self._hint_provider
 
-    # -- parse program -------------------------------------------------------
+    # -- on-disk artifacts ---------------------------------------------------
+
+    def _store(self, cache_dir: Path | None) -> ArtifactStore | None:
+        """The artifact store for ``cache_dir`` (else the entry's default)."""
+        directory = cache_dir if cache_dir is not None else self._cache_dir
+        if directory is None:
+            return None
+        return ArtifactStore(
+            directory,
+            self.fingerprint.digest,
+            metrics=self._metrics,
+            faults=self._faults,
+            retry_policy=self._retry_policy,
+        )
+
+    def _load_or_build(self, kind, cache_dir, build, context=None):
+        """One artifact from the disk cache, else built and published."""
+        store = self._store(cache_dir)
+        value = store.load(kind, context) if store is not None else None
+        if value is None:
+            value = build()
+            if store is not None:
+                store.save(kind, value)
+        return value
 
     def program(self, cache_dir: Path | None = None):
         """This product's compiled parse program, shared across threads.
@@ -151,121 +176,89 @@ class RegistryEntry:
         if self._program is not None:
             return self._program
         with self._lock:
-            if self._program is not None:
-                return self._program
-            directory = (
-                Path(cache_dir) if cache_dir is not None else self._cache_dir
-            )
-            program = None
-            if directory is not None:
-                program = self._load_program_artifact(directory)
-            if program is None:
-                self._metrics.incr("ir_compiles")
-                self._fault("program.compile")
-                with self._metrics.time("ir_compile"):
-                    program = self.product.program(analysis=self._analysis)
-                if directory is not None:
-                    self._store_program_artifact(directory, program)
-            self._program = program
-            return program
+            if self._program is None:
+                self._program = self._load_or_build(
+                    IR, cache_dir, self._compile_program
+                )
+            return self._program
 
-    def _program_artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.ir.json"
+    def _compile_program(self):
+        self._metrics.incr("ir_compiles")
+        self._fault("program.compile")
+        with self._metrics.time("ir_compile"):
+            return self.product.program(analysis=self._analysis)
 
-    def _load_program_artifact(self, cache_dir: Path):
-        from ..parsing.program import ParseProgram, program_fingerprint
+    def closure_program(self, cache_dir: Path | None = None):
+        """The exec-compiled closure artifact, shared across threads.
 
-        path = self._program_artifact_path(cache_dir)
-        try:
-            text = self._read_artifact_text(path, "artifact.read.ir")
-        except FileNotFoundError:
-            # a definitive answer, not a failure: plain cold-cache miss
-            self._metrics.incr("ir_disk_misses")
-            return None
-        except Exception:
-            # unreadable artifact (I/O error that survived retries, or an
-            # injected fault): quarantine and recompile from the grammar
-            self._metrics.incr("ir_disk_misses")
-            self._quarantine(path, "ir_corrupt")
-            return None
-        embedded = program_fingerprint(text)
-        if embedded != self.fingerprint.digest:
-            # the embedded provenance does not match the key the file is
-            # filed under: stale (valid but different digest) or corrupt
-            # (undecodable, truncated, empty — no digest at all)
-            self._metrics.incr("ir_disk_invalidations")
-            self._metrics.incr("ir_disk_misses")
-            self._quarantine(path, "ir_corrupt" if embedded is None else None)
-            return None
-        try:
-            program = ParseProgram.from_json(text)
-        except ValueError:
-            self._metrics.incr("ir_disk_invalidations")
-            self._metrics.incr("ir_disk_misses")
-            self._quarantine(path, "ir_corrupt")
-            return None
-        self._metrics.incr("ir_disk_hits")
-        return program
-
-    def _store_program_artifact(self, cache_dir: Path, program) -> None:
-        self._write_artifact_text(
-            self._program_artifact_path(cache_dir),
-            program.to_json(),
-            "artifact.write.ir",
-        )
-
-    # -- resilient artifact I/O --------------------------------------------
-
-    def _read_artifact_text(self, path: Path, site: str) -> str:
-        """Read one artifact with bounded retry on transient I/O errors.
-
-        ``FileNotFoundError`` propagates immediately (a miss is a
-        definitive answer); other ``OSError`` flavors are retried with
-        backoff before giving up.
+        Loaded from ``<digest>.closures.py`` (fingerprint-validated)
+        when a disk cache is configured; a cached file that passes the
+        fingerprint scan but does not exec into a rule table matching
+        the program is quarantined and rebuilt, like any corrupt
+        artifact.
         """
+        if self._closure is not None:
+            return self._closure
+        with self._lock:
+            if self._closure is None:
+                program = self.program(cache_dir)
+                self._closure = self._load_or_build(
+                    CLOSURES, cache_dir,
+                    lambda: self._compile_closures(program), program,
+                )
+            return self._closure
 
-        def attempt() -> str:
-            self._fault(site)
-            return path.read_text()
+    def _compile_closures(self, program):
+        from ..parsing.closures import ClosureProgram, generate_closure_source
 
-        return retry_call(
-            attempt,
-            self._retry_policy,
-            on_retry=lambda _attempt, _error: self._metrics.incr("retries"),
-        )
+        self._metrics.incr("closure_compiles")
+        self._fault("closure.compile")
+        with self._metrics.time("closure_compile"):
+            source = generate_closure_source(program, self.fingerprint.digest)
+            return ClosureProgram(program, source)
 
-    def _write_artifact_text(self, path: Path, text: str, site: str) -> None:
-        def attempt() -> None:
-            self._fault(site)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(text)
-            os.replace(tmp, path)  # atomic publish: readers never see partials
+    def publish_worker_artifacts(
+        self,
+        cache_dir: str | os.PathLike,
+        backend: str = "compiled",
+        force: bool = False,
+    ) -> None:
+        """Ensure every artifact a process-pool worker bootstraps from is fresh.
 
-        try:
-            retry_call(
-                attempt,
-                self._retry_policy,
-                on_retry=lambda _a, _e: self._metrics.incr("retries"),
-            )
-        except Exception:
-            pass  # the artifact cache is an optimization, never a failure
-
-    def _quarantine(self, path: Path, counter: str | None) -> None:
-        """Move a bad artifact aside so the rebuild starts from a clean slot.
-
-        The ``.bad`` file is kept for post-mortems instead of deleted;
-        ``counter`` (``ir_corrupt``/``source_corrupt``) distinguishes true
-        corruption from mere staleness.  Best-effort: a failed rename
-        never blocks the rebuild (the fresh artifact overwrites in place).
+        Called by the parent before shipping
+        :class:`~repro.service.workers.WorkerTask`\\ s: the IR program,
+        the lexicon, and (for the compiled backend) the closures are
+        written — idempotently, skipping files whose embedded
+        fingerprint already matches — so workers never recompose.
+        ``force=True`` rewrites unconditionally; it is the parent's
+        answer to a worker-reported corrupt/quarantined artifact (the
+        "rebuild request" of the bootstrap protocol).
         """
-        if counter is not None:
-            self._metrics.incr(counter)
-        try:
-            os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
-            self._metrics.incr("quarantined")
-        except OSError:
-            pass
+        directory = Path(cache_dir)
+        store = self._store(directory)
+        pending = [(IR, self.program(directory)), (LEX, self.product)]
+        if backend == "compiled":
+            pending.append((CLOSURES, self.closure_program(directory)))
+        for kind, value in pending:
+            if force or not store.fresh(kind):
+                store.save(kind, value)
+
+    def artifacts(self, cache_dir: Path | None = None) -> list[dict]:
+        """Inventory of every on-disk artifact kind for this fingerprint.
+
+        One dict per kind (``ir`` / ``closures`` / ``lex``) with the
+        path, whether it exists, its size, whether its embedded
+        fingerprint is stale, and whether a quarantined ``.bad`` sibling
+        is lying next to it.  With no cache directory the listing still
+        names the kinds (``path`` is None) so callers can render a
+        uniform table.
+        """
+        store = self._store(cache_dir)
+        return [
+            store.describe(kind) if store is not None
+            else describe_missing(kind)
+            for kind in KINDS
+        ]
 
     # -- coverage ----------------------------------------------------------
 
@@ -304,48 +297,6 @@ class RegistryEntry:
             program=self.program(),
         )
 
-    def thread_parser(self) -> "Parser":
-        """The calling thread's parser for this product (created on demand)."""
-        parser = getattr(self._tls, "parser", None)
-        if parser is None:
-            parser = self.parser()
-            self._tls.parser = parser
-        return parser
-
-    def thread_fallback_parser(self) -> "Parser":
-        """The calling thread's clean-room parser: the degradation backstop.
-
-        Shares *nothing* with the cached artifacts — the grammar is
-        re-validated and the parse program re-compiled directly in the
-        :class:`~repro.parsing.parser.Parser` constructor — so a corrupt
-        shared program, a failing artifact cache, or a broken hint
-        provider cannot poison it.  Used by the service when the primary
-        backend raises unexpectedly.
-        """
-        from ..parsing.parser import Parser
-
-        parser = getattr(self._tls, "fallback_parser", None)
-        if parser is None:
-            parser = Parser(self.product.grammar)
-            self._tls.fallback_parser = parser
-        return parser
-
-    def thread_coverage_parser(self) -> "Parser":
-        """The calling thread's *instrumented* parser for this product.
-
-        Kept strictly separate from :meth:`thread_parser`: flipping a
-        parser in and out of coverage mode permanently de-optimizes that
-        instance's attribute storage on CPython 3.11+ (the ``__class__``
-        flip materializes the inline-values dict), so coverage requests
-        get their own per-thread parser and the plain one is never
-        touched.
-        """
-        parser = getattr(self._tls, "coverage_parser", None)
-        if parser is None:
-            parser = self.parser()
-            self._tls.coverage_parser = parser
-        return parser
-
     def compiled_parser(self, hints: bool = True, cache_dir: Path | None = None):
         """A fresh closure-backend parser over this entry's shared artifact."""
         from ..parsing.closures import ClosureParser
@@ -360,318 +311,52 @@ class RegistryEntry:
             table=table,
         )
 
-    def thread_compiled_parser(self, cache_dir: Path | None = None):
-        """The calling thread's closure-backend parser (created on demand)."""
-        parser = getattr(self._tls, "compiled_parser", None)
-        if parser is None:
-            parser = self.compiled_parser(cache_dir=cache_dir)
-            self._tls.compiled_parser = parser
-        return parser
-
-    def thread_compiled_coverage_parser(self, cache_dir: Path | None = None):
-        """Per-thread *instrumented* closure-backend parser.
-
-        Separate from :meth:`thread_compiled_parser` for the same
-        ``__class__``-flip de-optimization reason as the interpreting
-        pair above.
-        """
-        parser = getattr(self._tls, "compiled_coverage_parser", None)
-        if parser is None:
-            parser = self.compiled_parser(cache_dir=cache_dir)
-            self._tls.compiled_coverage_parser = parser
-        return parser
-
-    # -- generated-code artifacts ------------------------------------------
-
-    def generated_source(self, cache_dir: Path | None = None) -> str:
-        """Standalone parser source, via the on-disk artifact cache if enabled."""
-        if self._source is not None:
-            return self._source
-        with self._lock:
-            if self._source is not None:
-                return self._source
-            source = None
-            if cache_dir is not None:
-                source = self._load_artifact(cache_dir)
-            if source is None:
-                from ..parsing.codegen import generate_parser_source
-
-                # both backends print from one compiled program (the
-                # entry lock is reentrant, so sharing it here is safe)
-                program = self.program(cache_dir)
-                self._metrics.incr("compiles")
-                with self._metrics.time("compile"):
-                    source = generate_parser_source(
-                        self.product.grammar,
-                        analysis=self._analysis,
-                        fingerprint=self.fingerprint.digest,
-                        program=program,
-                    )
-                if cache_dir is not None:
-                    self._store_artifact(cache_dir, source)
-            self._source = source
-            return source
-
-    def generated_module(self, cache_dir: Path | None = None):
-        """The generated parser, loaded as a module (thread-safe to share)."""
-        if self._module is None:
-            source = self.generated_source(cache_dir)
-            with self._lock:
-                if self._module is None:
-                    from ..parsing.codegen import load_generated_parser
-
-                    self._module = load_generated_parser(
-                        source, f"repro_generated_{self.fingerprint.short}"
-                    )
-        return self._module
-
-    def _artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.py"
-
-    def _load_artifact(self, cache_dir: Path) -> str | None:
-        from ..parsing.codegen import source_fingerprint
-
-        path = self._artifact_path(cache_dir)
-        try:
-            source = self._read_artifact_text(path, "artifact.read.source")
-        except FileNotFoundError:
-            self._metrics.incr("disk_misses")
-            return None
-        except Exception:
-            self._metrics.incr("disk_misses")
-            self._quarantine(path, "source_corrupt")
-            return None
-        embedded = source_fingerprint(source)
-        if embedded != self.fingerprint.digest:
-            # the embedded provenance does not match the key the file is
-            # filed under: stale (different digest) or corrupt (none)
-            self._metrics.incr("disk_invalidations")
-            self._metrics.incr("disk_misses")
-            self._quarantine(
-                path, "source_corrupt" if embedded is None else None
-            )
-            return None
-        self._metrics.incr("disk_hits")
-        return source
-
-    def _store_artifact(self, cache_dir: Path, source: str) -> None:
-        self._write_artifact_text(
-            self._artifact_path(cache_dir), source, "artifact.write.source"
-        )
-
-    # -- closure-backend artifacts -----------------------------------------
-
-    def closure_program(self, cache_dir: Path | None = None):
-        """The exec-compiled closure artifact, shared across threads.
-
-        Loaded from ``<digest>.closures.py`` (fingerprint-validated)
-        when a disk cache is configured; a cached file that passes the
-        fingerprint scan but does not exec into a rule table matching
-        the program is quarantined and rebuilt, exactly like the other
-        two artifact kinds.
-        """
-        if self._closure is not None:
-            return self._closure
-        with self._lock:
-            if self._closure is not None:
-                return self._closure
-            from ..parsing.closures import (
-                ClosureProgram,
-                generate_closure_source,
-            )
-
-            directory = (
-                Path(cache_dir) if cache_dir is not None else self._cache_dir
-            )
-            program = self.program(cache_dir)
-            closure = None
-            if directory is not None:
-                source = self._load_closure_artifact(directory)
-                if source is not None:
-                    try:
-                        closure = ClosureProgram(program, source)
-                    except Exception:
-                        # fingerprint matched but the text does not exec
-                        # to this program's rule table: corrupt
-                        self._quarantine(
-                            self._closure_artifact_path(directory),
-                            "closure_corrupt",
-                        )
-                        closure = None
-            if closure is None:
-                self._metrics.incr("closure_compiles")
-                self._fault("closure.compile")
-                with self._metrics.time("closure_compile"):
-                    source = generate_closure_source(
-                        program, self.fingerprint.digest
-                    )
-                    closure = ClosureProgram(program, source)
-                if directory is not None:
-                    self._store_closure_artifact(directory, source)
-            self._closure = closure
-            return closure
-
-    def _closure_artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.closures.py"
-
-    def _load_closure_artifact(self, cache_dir: Path) -> str | None:
-        from ..parsing.closures import closure_fingerprint
-
-        path = self._closure_artifact_path(cache_dir)
-        try:
-            source = self._read_artifact_text(path, "artifact.read.closures")
-        except FileNotFoundError:
-            self._metrics.incr("closure_disk_misses")
-            return None
-        except Exception:
-            self._metrics.incr("closure_disk_misses")
-            self._quarantine(path, "closure_corrupt")
-            return None
-        embedded = closure_fingerprint(source)
-        if embedded != self.fingerprint.digest:
-            self._metrics.incr("closure_disk_invalidations")
-            self._metrics.incr("closure_disk_misses")
-            self._quarantine(
-                path, "closure_corrupt" if embedded is None else None
-            )
-            return None
-        self._metrics.incr("closure_disk_hits")
-        return source
-
-    def _store_closure_artifact(self, cache_dir: Path, source: str) -> None:
-        self._write_artifact_text(
-            self._closure_artifact_path(cache_dir),
-            source,
-            "artifact.write.closures",
-        )
-
-    # -- lexicon artifact + worker publication ------------------------------
-
-    def _lexicon_artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.lex.json"
-
-    def lexicon_source(self) -> str:
-        """The ``<digest>.lex.json`` artifact text for this product."""
-        from .workers import render_lexicon
-
-        grammar = self.product.grammar
-        return render_lexicon(
-            grammar.tokens,
-            self.fingerprint.digest,
-            grammar.name,
-            grammar.start,
-        )
-
-    def _artifact_fresh(self, path: Path, extract) -> bool:
-        """Does ``path`` hold an artifact embedding this entry's digest?"""
-        try:
-            text = path.read_text()
-        except OSError:
-            return False
-        return extract(text) == self.fingerprint.digest
-
-    def publish_worker_artifacts(
+    def thread_parser_for(
         self,
-        cache_dir: str | os.PathLike,
-        backend: str = "compiled",
-        force: bool = False,
-    ) -> None:
-        """Ensure every artifact a process-pool worker bootstraps from is fresh.
+        kind: str,
+        instrumented: bool = False,
+        cache_dir: Path | None = None,
+    ):
+        """The calling thread's parser of one kind (created on demand).
 
-        Called by the parent before shipping
-        :class:`~repro.service.workers.WorkerTask`\\ s: the IR program,
-        the lexicon, and the backend artifact (closures or generated
-        source) are written — idempotently, skipping files whose embedded
-        fingerprint already matches — so workers never recompose.
-        ``force=True`` rewrites unconditionally; it is the parent's
-        answer to a worker-reported corrupt/quarantined artifact (the
-        "rebuild request" of the bootstrap protocol).
+        ``kind`` is ``"compiled"`` (closure backend), ``"interpreter"``
+        (shared-IR interpreter) or ``"clean-room"``: the degradation
+        backstop, which shares *nothing* with the cached artifacts — the
+        grammar is re-validated and the program re-compiled in the
+        :class:`~repro.parsing.parser.Parser` constructor — so a corrupt
+        shared program, a failing artifact cache, or a broken hint
+        provider cannot poison it.
+
+        Parsers carry per-parse state, hence one per thread.  An
+        ``instrumented`` (coverage-collecting) parser is a separate
+        instance from the plain one: flipping a parser in and out of
+        coverage mode permanently de-optimizes that instance's attribute
+        storage on CPython 3.11+ (the ``__class__`` flip materializes
+        the inline-values dict), so the plain parser is never touched.
         """
-        from ..parsing.closures import closure_fingerprint
-        from ..parsing.codegen import source_fingerprint
-        from ..parsing.program import program_fingerprint
-        from .workers import lexicon_fingerprint
+        parsers = getattr(self._tls, "parsers", None)
+        if parsers is None:
+            parsers = self._tls.parsers = {}
+        parser = parsers.get((kind, instrumented))
+        if parser is None:
+            if kind == COMPILED:
+                parser = self.compiled_parser(cache_dir=cache_dir)
+            elif kind == CLEAN_ROOM:
+                from ..parsing.parser import Parser
 
-        directory = Path(cache_dir)
-        program = self.program(directory)
-        if force or not self._artifact_fresh(
-            self._program_artifact_path(directory), program_fingerprint
-        ):
-            self._store_program_artifact(directory, program)
-        if force or not self._artifact_fresh(
-            self._lexicon_artifact_path(directory), lexicon_fingerprint
-        ):
-            self._write_artifact_text(
-                self._lexicon_artifact_path(directory),
-                self.lexicon_source(),
-                "artifact.write.lex",
-            )
-        if backend == "compiled":
-            closure = self.closure_program(directory)
-            if force or not self._artifact_fresh(
-                self._closure_artifact_path(directory), closure_fingerprint
-            ):
-                self._store_closure_artifact(directory, closure.source)
-        elif backend == "generated":
-            source = self.generated_source(directory)
-            if force or not self._artifact_fresh(
-                self._artifact_path(directory), source_fingerprint
-            ):
-                self._store_artifact(directory, source)
+                parser = Parser(self.product.grammar)
+            else:
+                parser = self.parser()
+            parsers[(kind, instrumented)] = parser
+        return parser
 
-    # -- artifact inventory -------------------------------------------------
+    def thread_parser(self) -> "Parser":
+        """The calling thread's interpreting parser for this product."""
+        return self.thread_parser_for(INTERPRETER)
 
-    def artifacts(self, cache_dir: Path | None = None) -> list[dict]:
-        """Inventory of every on-disk artifact kind for this fingerprint.
-
-        One dict per kind (``ir`` / ``source`` / ``closures`` / ``lex``)
-        with the
-        path, whether it exists, its size, whether its embedded
-        fingerprint is stale, and whether a quarantined ``.bad`` sibling
-        is lying next to it.  With no cache directory the listing still
-        names the kinds (``path`` is None) so callers can render a
-        uniform table.
-        """
-        from ..parsing.closures import closure_fingerprint
-        from ..parsing.codegen import source_fingerprint
-        from ..parsing.program import program_fingerprint
-        from .workers import lexicon_fingerprint
-
-        directory = (
-            Path(cache_dir) if cache_dir is not None else self._cache_dir
-        )
-        kinds = (
-            ("ir", ".ir.json", program_fingerprint),
-            ("source", ".py", source_fingerprint),
-            ("closures", ".closures.py", closure_fingerprint),
-            ("lex", ".lex.json", lexicon_fingerprint),
-        )
-        listing = []
-        for kind, suffix, extract in kinds:
-            info: dict = {
-                "kind": kind,
-                "path": None,
-                "exists": False,
-                "size": 0,
-                "stale": False,
-                "quarantined": False,
-            }
-            if directory is not None:
-                path = directory / f"{self.fingerprint.digest}{suffix}"
-                info["path"] = str(path)
-                info["quarantined"] = path.with_name(
-                    path.name + QUARANTINE_SUFFIX
-                ).exists()
-                try:
-                    text = path.read_text()
-                except OSError:
-                    pass
-                else:
-                    info["exists"] = True
-                    info["size"] = len(text.encode())
-                    info["stale"] = extract(text) != self.fingerprint.digest
-            listing.append(info)
-        return listing
+    def thread_compiled_parser(self, cache_dir: Path | None = None):
+        """The calling thread's closure-backend parser."""
+        return self.thread_parser_for(COMPILED, cache_dir=cache_dir)
 
     def __repr__(self) -> str:
         return f"<RegistryEntry {self.product.name!r} fp={self.fingerprint.short}>"
@@ -684,8 +369,8 @@ class ParserRegistry:
         line: The product line the registry serves.
         capacity: Maximum products kept in memory (least recently used
             evicted first).
-        cache_dir: Optional directory for the on-disk generated-source
-            artifact cache; ``None`` disables it.
+        cache_dir: Optional directory for the on-disk artifact cache
+            (:mod:`repro.service.artifacts`); ``None`` disables it.
         metrics: Shared metrics sink; a fresh one is created if omitted.
         lint_gate: Refuse to serve products the :mod:`repro.lint` program
             passes find error-grade defects in (nullable loops, shadowed
@@ -888,14 +573,7 @@ class ParserRegistry:
         with self._lock:
             return self._entries.get(fp.digest)
 
-    # -- generated-source convenience --------------------------------------
-
-    def generated_source(self, entry: RegistryEntry) -> str:
-        """Entry's standalone parser source through this registry's disk cache."""
-        return entry.generated_source(self.cache_dir)
-
-    def generated_module(self, entry: RegistryEntry):
-        return entry.generated_module(self.cache_dir)
+    # -- artifact convenience ---------------------------------------------
 
     def parse_program(self, entry: RegistryEntry):
         """Entry's compiled parse program through this registry's disk cache."""

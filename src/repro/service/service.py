@@ -47,7 +47,14 @@ from ..resilience.deadline import Deadline
 from ..resilience.faults import FaultPlan
 from .fingerprint import Fingerprint
 from .metrics import ServiceMetrics
-from .registry import DEFAULT_CAPACITY, ParserRegistry, RegistryEntry
+from .registry import (
+    CLEAN_ROOM,
+    COMPILED,
+    DEFAULT_CAPACITY,
+    INTERPRETER,
+    ParserRegistry,
+    RegistryEntry,
+)
 from .workers import WorkerTask, execute_batch
 
 #: Default worker-pool width for batch APIs.
@@ -235,12 +242,14 @@ class ParseService:
             preset dialects, and the CLI all reuse one cache.
         registry: Explicit registry to serve (overrides ``line``).
         capacity: LRU capacity when a fresh registry is built.
-        cache_dir: On-disk artifact cache for generated parser source;
+        cache_dir: On-disk artifact cache (:mod:`repro.service.artifacts`);
             applied to the shared registry too when serving it.
         max_workers: Worker-pool width for the batch APIs.
         max_queue: Admission-control bound: maximum requests in flight
             (queued + executing) before new ones are shed with an E0204
-            result.  Defaults to ``max(256, max_workers * 32)``.
+            result.  Defaults to ``max(256, max_workers * 32)``.  A batch
+            is admitted or shed as a whole; a lone batch larger than the
+            bound is admitted when nothing else is in flight.
         executor: ``"thread"`` (default) fans batches out over a
             :class:`~concurrent.futures.ThreadPoolExecutor` — fine for
             latency hiding, GIL-bound for throughput.  ``"process"``
@@ -253,14 +262,13 @@ class ParseService:
             degrade process back to thread permanently
             (``executor_degraded``); single :meth:`parse` calls and
             coverage-collecting batches always run in-parent/thread.
-        backend: Which registered parse backend serves traffic.
-            ``"compiled"`` (default) parses with the closure-compiled
-            threaded code; ``"interpreter"`` with the shared-IR
-            interpreting parser; ``"generated"`` with the generated
-            standalone module.  Whatever the primary, an unexpected
-            failure degrades down the ladder — compiled/generated fall
-            to the shared interpreter, and that falls to the clean-room
-            interpreter — recording ``degraded_backend`` each time.
+        backend: Which parse backend serves traffic.  ``"compiled"``
+            (default) parses with the closure-compiled threaded code;
+            ``"interpreter"`` with the shared-IR interpreting parser.
+            Whatever the primary, an unexpected failure degrades down
+            the ladder — compiled falls to the shared interpreter, and
+            that falls to the clean-room interpreter — recording
+            ``degraded_backend`` each time.
         fault_plan: Optional deterministic
             :class:`~repro.resilience.faults.FaultPlan` for chaos
             testing; threaded into a registry constructed here, and
@@ -279,10 +287,10 @@ class ParseService:
         executor: str = "thread",
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if backend not in ("compiled", "interpreter", "generated"):
+        if backend not in (COMPILED, INTERPRETER):
             raise ValueError(
                 f"unknown backend {backend!r} "
-                "(expected 'compiled', 'interpreter' or 'generated')"
+                "(expected 'compiled' or 'interpreter')"
             )
         if executor not in ("thread", "process"):
             raise ValueError(
@@ -507,35 +515,28 @@ class ParseService:
                 )
                 for text in texts
             ]
+        # the batch's slots are reserved in one step: it is admitted or
+        # shed as a whole, never split by its own earlier texts
+        if not self._admit(len(texts)):
+            return [self._shed_result(text) for text in texts]
+        results = None
         if self._executor_effective == "process" and coverage is None:
             # coverage collectors cannot cross the pipe: those batches
             # stay on the thread path below
-            proc_results = self._parse_many_process(
-                entry, texts, warm, start, max_errors, max_steps, timeout
+            results = self._parse_many_process(
+                entry, texts, start, max_errors, max_steps, timeout
             )
-            if proc_results is not None:
-                return proc_results
-        pool = self._ensure_pool()
-        results: list[ParseServiceResult | None] = [None] * len(texts)
-        submitted = []
-        for i, text in enumerate(texts):
-            if not self._admit():
-                results[i] = self._shed_result(text)
-                continue
+        if results is None:
             self.metrics.observe_depth("thread", self.in_flight)
-            # the deadline starts at submission: queueing time counts
-            deadline = Deadline.after(timeout) if timeout is not None else None
-            future = pool.submit(
-                self._parse_entry, entry, text, True, start,
-                max_errors, max_steps, coverage, deadline,
+            results = self._run_in_pool(
+                [
+                    (text, entry.fingerprint, timeout, self._parse_entry,
+                     (entry, text, True, start, max_errors, max_steps,
+                      coverage))
+                    for text in texts
+                ],
+                series="executor_thread",
             )
-            future.add_done_callback(lambda _f: self._release_admission())
-            submitted.append((i, text, future, deadline, time.perf_counter()))
-        for i, text, future, deadline, t0 in submitted:
-            results[i] = self._collect(
-                future, text, entry.fingerprint, timeout, True, deadline
-            )
-            self.metrics.observe("executor_thread", time.perf_counter() - t0)
         # the batch's first result reports whether the *batch* was warm
         results[0].warm = warm
         return results
@@ -553,26 +554,15 @@ class ParseService:
         requests = list(requests)
         if not requests:
             return []
-        pool = self._ensure_pool()
-        results: list[ParseServiceResult | None] = [None] * len(requests)
-        submitted = []
-        for i, req in enumerate(requests):
-            if not self._admit():
-                results[i] = self._shed_result(req.text)
-                continue
-            self.metrics.observe_depth("thread", self.in_flight)
-            effective = req.timeout if req.timeout is not None else timeout
-            deadline = (
-                Deadline.after(effective) if effective is not None else None
-            )
-            future = pool.submit(self._serve_request, req, deadline)
-            future.add_done_callback(lambda _f: self._release_admission())
-            submitted.append((i, req, future, effective, deadline))
-        for i, req, future, effective, deadline in submitted:
-            results[i] = self._collect(
-                future, req.text, None, effective, False, deadline
-            )
-        return results
+        if not self._admit(len(requests)):
+            return [self._shed_result(req.text) for req in requests]
+        self.metrics.observe_depth("thread", self.in_flight)
+        return self._run_in_pool([
+            (req.text, None,
+             req.timeout if req.timeout is not None else timeout,
+             self._serve_request, (req,))
+            for req in requests
+        ])
 
     # -- metrics ------------------------------------------------------------
 
@@ -644,8 +634,8 @@ class ParseService:
         degradation = {
             name: counters[name]
             for name in (
-                "quarantined", "ir_corrupt", "source_corrupt",
-                "closure_corrupt", "degraded_backend", "degraded_hints",
+                "quarantined", "ir_corrupt", "closure_corrupt",
+                "degraded_backend", "degraded_hints",
                 "internal_errors", "shed", "breaker_fast_fails", "retries",
                 "worker_bootstrap_failures", "worker_crashes",
                 "executor_degraded",
@@ -766,18 +756,58 @@ class ParseService:
                 )
             return self._pool
 
-    def _admit(self) -> bool:
-        """Admission control: reserve one in-flight slot or shed."""
+    def _run_in_pool(self, jobs, series: str | None = None):
+        """Run admitted jobs on the thread pool; results in order.
+
+        Each job is ``(text, fingerprint, timeout, fn, args)``; ``fn``
+        receives ``*args`` plus the job's deadline, which starts at
+        submission (queueing time counts).  Every job holds one admitted
+        slot, released when it finishes; slots of jobs never submitted
+        are released here.
+        """
+        submitted = []
+        try:
+            pool = self._ensure_pool()
+            for text, fp, timeout, fn, args in jobs:
+                deadline = (
+                    Deadline.after(timeout) if timeout is not None else None
+                )
+                future = pool.submit(fn, *args, deadline)
+                future.add_done_callback(lambda _f: self._release_admission())
+                submitted.append(
+                    (text, fp, timeout, future, deadline, time.perf_counter())
+                )
+        except BaseException:
+            self._release_admission(len(jobs) - len(submitted))
+            raise
+        results = []
+        for text, fp, timeout, future, deadline, t0 in submitted:
+            # a job with a known fingerprint runs on an acquired entry
+            warm = fp is not None
+            results.append(
+                self._collect(future, text, fp, timeout, warm, deadline)
+            )
+            if series is not None:
+                self.metrics.observe(series, time.perf_counter() - t0)
+        return results
+
+    def _admit(self, n: int = 1) -> bool:
+        """Admission control: reserve ``n`` in-flight slots at once, or shed.
+
+        A request (or batch) is shed only when something else is already
+        in flight and its slots would overrun the bound — so one batch
+        larger than ``max_queue`` is still served on an idle service.
+        """
         with self._admission_lock:
-            if self._in_flight >= self.max_queue:
-                self.metrics.incr("shed")
+            if self._in_flight and self._in_flight + n > self.max_queue:
+                self.metrics.incr("shed", n)
                 return False
-            self._in_flight += 1
+            self._in_flight += n
             return True
 
-    def _release_admission(self) -> None:
+    def _release_admission(self, n: int = 1) -> None:
         with self._admission_lock:
-            self._in_flight = max(0, self._in_flight - 1)
+            self._in_flight = max(0, self._in_flight - n)
 
     @property
     def in_flight(self) -> int:
@@ -848,100 +878,84 @@ class ParseService:
         The configured primary backend (compiled by default) runs first;
         if it *raises* — as opposed to returning a result with
         diagnostics — the shared interpreter answers, and if that also
-        raises, the clean-room fallback interpreter does.  Every rung
-        taken marks the result ``degraded=("backend",)`` and bumps
+        raises, the clean-room interpreter does.  Every rung taken marks
+        the result ``degraded=("backend",)`` and bumps
         ``degraded_backend``, and each backend times into its own
         ``parse_<backend>`` latency series, so a fleet silently shifting
         from compiled to interpreter is visible in ``repro stats``.
+
+        With a ``coverage`` collector the parse runs on the per-thread
+        *instrumented* parser of each rung (the plain one must never be
+        flipped into coverage mode) and counts into a private collector,
+        merged into the caller's — which may be shared across workers —
+        once the parse completes.  Coverage runs on the serving backend
+        (the CI gate must cover what production executes); the
+        clean-room rung has its own program, so it takes no coverage.
         """
         self.metrics.incr("parses")
-        degraded: list[str] = []
-        outcome = None
-        seconds = 0.0
-
-        if coverage is not None:
-            # count into a per-call private collector on the dedicated
-            # instrumented parser and merge at the end: the caller's
-            # collector may be shared across workers, and the plain
-            # thread parser must never be flipped into coverage mode.
-            # Coverage runs on the serving backend (the CI gate must
-            # cover what production executes), degrading to the
-            # instrumented interpreter if the compiled artifact fails.
-            parser = None
-            series = "parse_interpreter"
-            if self.backend == "compiled":
-                try:
-                    parser = entry.thread_compiled_coverage_parser(
-                        self.registry.cache_dir
-                    )
-                    series = "parse_compiled"
-                except Exception:
-                    degraded.append("backend")
-                    self.metrics.incr("degraded_backend")
-            if parser is None:
-                parser = entry.thread_coverage_parser()
-            private = entry.coverage_collector()
-            parser.enable_coverage(private)
+        instrumented = coverage is not None
+        rungs = [INTERPRETER] if instrumented else [INTERPRETER, CLEAN_ROOM]
+        if self.backend == COMPILED:
+            rungs.insert(0, COMPILED)
+        degraded: tuple[str, ...] = ()
+        for rung in rungs:
+            private = entry.coverage_collector() if instrumented else None
             try:
+                if (
+                    rung == self.backend and not instrumented
+                    and self._faults is not None
+                ):
+                    self._faults.check("backend.parse")
+                parser = entry.thread_parser_for(
+                    rung, instrumented, self.registry.cache_dir
+                )
                 outcome, seconds = self._interpret(
                     parser, text, start, max_errors, max_steps, deadline,
-                    series=series,
+                    "parse_compiled" if rung == COMPILED
+                    else "parse_interpreter",
+                    private,
                 )
-            finally:
-                parser.disable_coverage()
-                coverage.merge(private)
-        else:
-            if self.backend == "compiled":
-                try:
-                    if self._faults is not None:
-                        self._faults.check("backend.parse")
-                    parser = entry.thread_compiled_parser(
-                        self.registry.cache_dir
-                    )
-                    outcome, seconds = self._interpret(
-                        parser, text, start, max_errors, max_steps, deadline,
-                        series="parse_compiled",
-                    )
-                except Exception:
-                    degraded.append("backend")
+                break
+            except Exception:
+                if rung == rungs[-1]:
+                    raise  # to the never-crash guard
+                if not degraded:
+                    degraded = ("backend",)
                     self.metrics.incr("degraded_backend")
-                    outcome = None
-            elif self.backend == "generated":
-                try:
-                    outcome, seconds = self._parse_generated(
-                        entry, text, start, max_errors
-                    )
-                except Exception:
-                    degraded.append("backend")
-                    self.metrics.incr("degraded_backend")
-                    outcome = None
-            if outcome is None:
-                try:
-                    if self.backend == "interpreter" and self._faults is not None:
-                        # primary-only site: the compiled/generated paths
-                        # already checked it
-                        self._faults.check("backend.parse")
-                    parser = entry.thread_parser()
-                    outcome, seconds = self._interpret(
-                        parser, text, start, max_errors, max_steps, deadline
-                    )
-                except Exception:
-                    # shared-interpreter rung failed unexpectedly:
-                    # last rung before the never-crash guard — the
-                    # clean-room parser shares nothing with the cache
-                    if "backend" not in degraded:
-                        degraded.append("backend")
-                        self.metrics.incr("degraded_backend")
-                    parser = entry.thread_fallback_parser()
-                    outcome, seconds = self._interpret(
-                        parser, text, start, max_errors, max_steps, deadline
-                    )
-
-        if outcome.diagnostics.has_errors:
-            self.metrics.incr("parse_errors")
-        timed_out = any(
-            d.code == PARSE_TIMEOUT for d in outcome.diagnostics
+        if instrumented:
+            coverage.merge(private)
+        return self._result(
+            entry, text, outcome.tree, outcome.diagnostics, warm, seconds,
+            degraded,
         )
+
+    def _interpret(
+        self, parser, text, start, max_errors, max_steps, deadline,
+        series: str, coverage=None,
+    ):
+        if coverage is not None:
+            parser.enable_coverage(coverage)
+        try:
+            with self.metrics.time("parse") as timer:
+                outcome = parser.parse_with_diagnostics(
+                    text, start=start, max_errors=max_errors,
+                    max_steps=max_steps, deadline=deadline,
+                )
+        finally:
+            if coverage is not None:
+                parser.disable_coverage()
+        # "parse" stays the aggregate; the per-backend series shows which
+        # rung of the ladder actually served
+        self.metrics.observe(series, timer.seconds)
+        return outcome, timer.seconds
+
+    def _result(
+        self, entry, text, tree, diagnostics, warm, seconds, degraded=()
+    ) -> ParseServiceResult:
+        """Count one parse outcome and wrap it as a service result."""
+        if diagnostics.has_errors:
+            self.metrics.incr("parse_errors")
+        timed_out = any(d.code == PARSE_TIMEOUT for d in diagnostics)
         if timed_out:
             self.metrics.incr("timeouts")
             # the dedicated series keeps the main parse histogram clean
@@ -950,51 +964,13 @@ class ParseService:
         return ParseServiceResult(
             text=text,
             fingerprint=entry.fingerprint,
-            tree=outcome.tree,
-            diagnostics=outcome.diagnostics,
+            tree=tree,
+            diagnostics=diagnostics,
             warm=warm,
             seconds=seconds,
             timed_out=timed_out,
-            degraded=tuple(degraded),
+            degraded=degraded,
         )
-
-    def _interpret(
-        self, parser, text, start, max_errors, max_steps, deadline,
-        series: str = "parse_interpreter",
-    ):
-        with self.metrics.time("parse") as timer:
-            outcome = parser.parse_with_diagnostics(
-                text, start=start, max_errors=max_errors,
-                max_steps=max_steps, deadline=deadline,
-            )
-        # "parse" stays the aggregate; the per-backend series shows which
-        # rung of the ladder actually served
-        self.metrics.observe(series, timer.seconds)
-        return outcome, timer.seconds
-
-    def _parse_generated(self, entry, text, start, max_errors):
-        """Parse with the generated standalone module.
-
-        Returns ``(outcome, seconds)``; raises when the module cannot be
-        produced or fails unexpectedly (the caller degrades to the
-        interpreter).  A clean syntax rejection is a *result*, not a
-        failure.
-        """
-        from ..errors import ReproError
-        from ..parsing.parser import ParseOutcome
-
-        if self._faults is not None:
-            self._faults.check("backend.parse")
-        module = self.registry.generated_module(entry)
-        bag = DiagnosticBag(max_errors=max_errors)
-        tree = None
-        with self.metrics.time("parse") as timer:
-            try:
-                tree = module.parse(text, start=start)
-            except ReproError as error:
-                bag.add(error.to_diagnostic())
-        self.metrics.observe("parse_generated", timer.seconds)
-        return ParseOutcome(tree, bag, text), timer.seconds
 
     def _collect(
         self,
@@ -1074,14 +1050,15 @@ class ParseService:
                 self.metrics.incr("executor_degraded")
 
     def _parse_many_process(
-        self, entry, texts, warm, start, max_errors, max_steps, timeout
+        self, entry, texts, start, max_errors, max_steps, timeout
     ) -> list[ParseServiceResult] | None:
-        """Fan one homogeneous batch out over the process pool.
+        """Fan one admitted homogeneous batch out over the process pool.
 
-        Returns ``None`` when the process path is unavailable (artifact
-        publish failed, pool would not spawn) — the caller falls back to
-        the thread pool for this batch; repeated spawn failures degrade
-        the executor permanently via :meth:`_note_worker_crash`.
+        Returns ``None`` before submitting anything when the process
+        path is unavailable (artifact publish failed, pool would not
+        spawn) — the caller runs the batch, with its admitted slots, on
+        the thread pool; repeated spawn failures degrade the executor
+        permanently via :meth:`_note_worker_crash`.
         """
         cache_dir = self.registry.cache_dir
         if cache_dir is None:
@@ -1102,26 +1079,16 @@ class ParseService:
         n_chunks = min(len(texts), self.max_workers * CHUNKS_PER_WORKER)
         chunk_size = -(-len(texts) // n_chunks)
         submitted = []
+        self.metrics.observe_depth("process", self.in_flight)
         for lo in range(0, len(texts), chunk_size):
-            indices: list[int] = []
-            chunk_texts: list[str] = []
-            for i in range(lo, min(lo + chunk_size, len(texts))):
-                if not self._admit():
-                    results[i] = self._shed_result(texts[i])
-                    continue
-                indices.append(i)
-                chunk_texts.append(texts[i])
-            if not indices:
-                continue
-            self.metrics.observe_depth("process", self.in_flight)
+            indices = range(lo, min(lo + chunk_size, len(texts)))
             # the deadline starts at submission: queueing time counts
             deadline = Deadline.after(timeout) if timeout is not None else None
             task = WorkerTask(
                 digest=digest,
                 cache_dir=str(cache_dir),
                 backend=self.backend,
-                text="",
-                texts=tuple(chunk_texts),
+                texts=tuple(texts[lo:lo + chunk_size]),
                 start=start,
                 max_errors=max_errors,
                 max_steps=max_steps,
@@ -1132,7 +1099,7 @@ class ParseService:
             try:
                 future = pool.submit(execute_batch, task)
             except Exception:
-                self._release_many(len(indices))
+                self._release_admission(len(indices))
                 self._note_worker_crash()
                 for i in indices:
                     results[i] = self._in_parent_fallback(
@@ -1140,7 +1107,7 @@ class ParseService:
                     )
                 continue
             future.add_done_callback(
-                lambda _f, n=len(indices): self._release_many(n)
+                lambda _f, n=len(indices): self._release_admission(n)
             )
             self.metrics.incr("worker_tasks")
             submitted.append((indices, future, deadline, task,
@@ -1152,14 +1119,7 @@ class ParseService:
             for i, result in zip(indices, chunk_results):
                 results[i] = result
             self.metrics.observe("executor_process", time.perf_counter() - t0)
-        if results and results[0] is not None:
-            # the batch's first result reports whether the *batch* was warm
-            results[0].warm = warm
         return results
-
-    def _release_many(self, n: int) -> None:
-        for _ in range(n):
-            self._release_admission()
 
     def _collect_chunk(
         self, entry, future, task, timeout, deadline
@@ -1289,34 +1249,10 @@ class ParseService:
         self.metrics.incr("parses")
         if reply.bootstrapped:
             self.metrics.incr("worker_bootstraps")
-        degraded: list[str] = []
-        if reply.degraded_backend:
-            degraded.append("backend")
-            self.metrics.incr("degraded_backend")
-        series = {
-            "compiled": "parse_compiled",
-            "generated": "parse_generated",
-            "interpreter": "parse_interpreter",
-        }[self.backend]
         self.metrics.observe("parse", reply.seconds)
-        self.metrics.observe(series, reply.seconds)
+        self.metrics.observe(f"parse_{self.backend}", reply.seconds)
         bag = (
             reply.diagnostics if reply.diagnostics is not None
             else DiagnosticBag()
         )
-        if bag.has_errors:
-            self.metrics.incr("parse_errors")
-        timed_out = any(d.code == PARSE_TIMEOUT for d in bag)
-        if timed_out:
-            self.metrics.incr("timeouts")
-            self.metrics.observe("timeouts", reply.seconds)
-        return ParseServiceResult(
-            text=text,
-            fingerprint=entry.fingerprint,
-            tree=reply.tree,
-            diagnostics=bag,
-            warm=True,
-            seconds=reply.seconds,
-            timed_out=timed_out,
-            degraded=tuple(degraded),
-        )
+        return self._result(entry, text, reply.tree, bag, True, reply.seconds)

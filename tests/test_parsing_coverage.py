@@ -258,7 +258,12 @@ class TestServiceCoverage:
             assert shared.score() > 0
             assert entry.thread_parser() is plain
             assert type(plain) is Parser
-            assert entry.thread_coverage_parser() is not plain
+            assert entry.thread_parser_for("interpreter", True) is not plain
+            # the compiled serving backend keeps the same split
+            assert (
+                entry.thread_parser_for("compiled", True)
+                is not entry.thread_compiled_parser()
+            )
 
     def test_uninstrumented_parse_leaves_no_trace(self):
         line = build_sql_product_line()

@@ -473,8 +473,20 @@ class TestAdmissionControl:
         try:
             with make_service(max_workers=2, max_queue=2) as service:
                 service.warm(FULL)
-                texts = ["SELECT a FROM t -- BLOCK"] * 2 + ["SELECT b FROM t"] * 3
-                results = service.parse_many(texts, FULL, timeout=0.3)
+                # one client's batch fills the queue and stays in flight
+                holder = threading.Thread(
+                    target=service.parse_many,
+                    args=(["SELECT a FROM t -- BLOCK"] * 2, FULL),
+                )
+                holder.start()
+                deadline = time.monotonic() + 5.0
+                while service.in_flight < 2 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert service.in_flight == 2
+                # a second batch arriving now is shed whole
+                results = service.parse_many(
+                    ["SELECT b FROM t"] * 3, FULL, timeout=0.3
+                )
                 shed = [
                     r for r in results
                     if any(d.code == SERVICE_OVERLOADED for d in r.diagnostics)
@@ -482,8 +494,41 @@ class TestAdmissionControl:
                 assert len(shed) == 3
                 assert service.metrics.counter("shed") == 3
                 release.set()  # unblock before close() joins the pool
+                holder.join()
         finally:
             release.set()
+
+    def test_lone_batch_larger_than_queue_is_admitted_whole(self):
+        """A batch never sheds part of itself: 512 texts against the
+        default bound (256 at two workers) on an idle service all parse."""
+        with make_service(max_workers=2) as service:
+            assert service.max_queue < 512
+            results = service.parse_many(["SELECT a FROM t"] * 512, FULL)
+        assert len(results) == 512
+        assert not [
+            r for r in results
+            if any(d.code == SERVICE_OVERLOADED for d in r.diagnostics)
+        ]
+        assert all(r.ok for r in results)
+        assert service.metrics.counter("shed") == 0
+
+    def test_process_batch_at_full_queue_is_shed_whole(self, tmp_path):
+        """The process path shares the batch admission: no chunk of a
+        batch is admitted on its own."""
+        with make_service(
+            max_workers=2, max_queue=4, executor="process", cache_dir=tmp_path
+        ) as service:
+            assert service._admit(3)  # another client's requests in flight
+            try:
+                results = service.parse_many(["SELECT a FROM t"] * 2, FULL)
+            finally:
+                service._release_admission(3)
+            assert all(
+                any(d.code == SERVICE_OVERLOADED for d in r.diagnostics)
+                for r in results
+            )
+            assert service.metrics.counter("shed") == 2
+            assert service.metrics.counter("worker_tasks") == 0
 
     def test_single_parse_admission_released(self):
         with make_service() as service:
@@ -524,18 +569,6 @@ class TestDegradationLadder:
             result = service.parse("SELECT a FROM t", FULL)
         assert result.ok
         assert result.degraded == ("backend",)
-
-    def test_generated_backend_falls_back_to_interpreter(self):
-        plan = FaultPlan(
-            [FaultRule("backend.parse", probability=1.0, times=1)]
-        )
-        with make_service(backend="generated", fault_plan=plan) as service:
-            degraded = service.parse("SELECT a FROM t", FULL)
-            assert degraded.ok
-            assert degraded.degraded == ("backend",)
-            healthy = service.parse("SELECT b FROM t", FULL)
-            assert healthy.ok
-            assert healthy.degraded == ()
 
     def test_worker_fault_yields_internal_error_result(self):
         plan = FaultPlan([FaultRule("worker.execute", probability=1.0)])

@@ -1,7 +1,7 @@
 """Closure-backend artifacts in the registry, and the compiled serving path.
 
-The third artifact kind (``<digest>.closures.py``) must follow the same
-lifecycle contract as the IR and generated-source kinds: fingerprint
+The closures artifact kind (``<digest>.closures.py``) must follow the
+same lifecycle contract as the other kinds: fingerprint
 validation on load, quarantine on corruption, rebuild on staleness, and
 safe coexistence with LRU eviction.  On top sits the serving change:
 ``ParseService`` now defaults to the compiled backend and degrades to
@@ -112,7 +112,7 @@ class TestClosureDiskCache:
         assert artifact.with_name(artifact.name + ".bad").exists()
         assert entry2.compiled_parser(cache_dir=tmp_path).accepts(ACCEPTED)
 
-    def test_artifact_inventory_lists_all_four_kinds(self, tmp_path):
+    def test_artifact_inventory_lists_all_three_kinds(self, tmp_path):
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(FEATURES)
         registry.parse_program(entry)
@@ -121,13 +121,13 @@ class TestClosureDiskCache:
         inventory = {
             item["kind"]: item for item in registry.artifact_inventory(entry)
         }
-        assert set(inventory) == {"ir", "lex", "source", "closures"}
+        assert set(inventory) == {"ir", "lex", "closures"}
         assert inventory["ir"]["exists"] and not inventory["ir"]["stale"]
         assert inventory["closures"]["exists"]
         assert inventory["closures"]["size"] > 0
         assert not inventory["closures"]["stale"]
-        # the source kind was never built in this process
-        assert not inventory["source"]["exists"]
+        # the lexicon is written only for process-pool workers
+        assert not inventory["lex"]["exists"]
 
         # staleness and quarantine are both surfaced
         path = tmp_path / f"{entry.fingerprint.digest}.closures.py"
@@ -146,7 +146,7 @@ class TestClosureDiskCache:
         entry = registry.get(FEATURES)
         inventory = registry.artifact_inventory(entry)
         assert [item["kind"] for item in inventory] == [
-            "ir", "source", "closures", "lex",
+            "ir", "closures", "lex",
         ]
         assert all(item["path"] is None for item in inventory)
 

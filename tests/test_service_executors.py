@@ -4,7 +4,7 @@ Covers the parent/worker artifact-bootstrap protocol of
 :mod:`repro.service.workers` at three levels:
 
 * pure-unit: the lexicon artifact round-trip and direct
-  :func:`execute_task` / :func:`execute_batch` calls (no process pool);
+  :func:`execute_batch` calls (no process pool);
 * worker-side failure handling: corrupt/missing artifacts must
   quarantine and report — never raise, never deadlock — and the parent
   must force-republish and retry;
@@ -21,15 +21,9 @@ from repro.core import GrammarProductLine
 from repro.diagnostics.model import SERVICE_OVERLOADED
 from repro.resilience import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
+from repro.service.artifacts import LEX, lexicon_fingerprint, render_lexicon
 from repro.service.registry import RegistryEntry
-from repro.service.workers import (
-    WorkerTask,
-    execute_batch,
-    execute_task,
-    lexicon_fingerprint,
-    render_lexicon,
-    reset_worker_cache,
-)
+from repro.service.workers import WorkerTask, execute_batch, reset_worker_cache
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -58,32 +52,31 @@ def published_entry(tmp_path, backend="compiled"):
     return registry, entry
 
 
-def task_for(entry, tmp_path, text, backend="compiled", **kwargs):
+def task_for(entry, tmp_path, *texts, backend="compiled", **kwargs):
     return WorkerTask(
         digest=entry.fingerprint.digest,
         cache_dir=str(tmp_path),
         backend=backend,
-        text=text,
+        texts=texts,
         **kwargs,
     )
 
 
 class TestLexiconArtifact:
     def test_round_trip_preserves_every_token(self, tmp_path):
-        from repro.service.workers import _load_lexicon
-
         registry, entry = published_entry(tmp_path)
         tokens = entry.product.grammar.tokens
-        text = render_lexicon(
-            tokens, entry.fingerprint.digest,
-            entry.product.grammar.name, entry.product.grammar.start,
-        )
+        text = LEX.encode(entry.product)
         assert lexicon_fingerprint(text) == entry.fingerprint.digest
-        rebuilt, name, start = _load_lexicon(text)
-        assert name == entry.product.grammar.name
-        assert start == entry.product.grammar.start
-        assert {d.name for d in rebuilt} == {d.name for d in tokens}
-        by_name = {d.name: d for d in rebuilt}
+        rebuilt = LEX.decode(text, None)
+        assert rebuilt.name == entry.product.grammar.name
+        assert rebuilt.start == entry.product.grammar.start
+        assert {d.name for d in rebuilt.tokens} == {d.name for d in tokens}
+        assert render_lexicon(
+            rebuilt.tokens, entry.fingerprint.digest, rebuilt.name,
+            rebuilt.start,
+        ) == text
+        by_name = {d.name: d for d in rebuilt.tokens}
         for d in tokens:
             assert by_name[d.name].pattern == d.pattern
             assert by_name[d.name].skip == d.skip
@@ -94,28 +87,30 @@ class TestLexiconArtifact:
 
 
 class TestWorkerEntryPoints:
-    """execute_task / execute_batch as plain functions — the worker side
-    of the protocol without any process pool in the way."""
+    """execute_batch as a plain function — the worker side of the
+    protocol without any process pool in the way."""
 
-    def test_execute_task_matches_in_parent_tree(self, tmp_path):
-        registry, entry = published_entry(tmp_path)
+    @pytest.mark.parametrize("backend", ["compiled", "interpreter"])
+    def test_execute_batch_matches_in_parent_tree(self, backend, tmp_path):
+        registry, entry = published_entry(tmp_path, backend=backend)
         reset_worker_cache()
         expected = entry.parser().parse("SELECT a FROM t WHERE x = y")
-        reply = execute_task(
-            task_for(entry, tmp_path, "SELECT a FROM t WHERE x = y")
+        (reply,) = execute_batch(
+            task_for(entry, tmp_path, "SELECT a FROM t WHERE x = y",
+                     backend=backend)
         )
         assert not reply.bootstrap_failed and not reply.internal_error
         assert reply.bootstrapped  # first task in this "process"
         assert reply.tree.to_sexpr() == expected.to_sexpr()
-        again = execute_task(task_for(entry, tmp_path, "SELECT a FROM t"))
+        (again,) = execute_batch(
+            task_for(entry, tmp_path, "SELECT a FROM t", backend=backend)
+        )
         assert not again.bootstrapped  # cached parser reused
 
     def test_execute_batch_amortizes_one_bootstrap(self, tmp_path):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
-        replies = execute_batch(
-            task_for(entry, tmp_path, "", texts=tuple(CORPUS))
-        )
+        replies = execute_batch(task_for(entry, tmp_path, *CORPUS))
         assert len(replies) == len(CORPUS)
         assert replies[0].bootstrapped
         assert not any(r.bootstrapped for r in replies[1:])
@@ -128,13 +123,12 @@ class TestWorkerEntryPoints:
     def test_missing_artifacts_report_bootstrap_failure(self, tmp_path):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
-        task = task_for(entry, tmp_path, "SELECT a FROM t")
         task = WorkerTask(
             digest="0" * len(entry.fingerprint.digest),
             cache_dir=str(tmp_path), backend="compiled",
-            text="SELECT a FROM t",
+            texts=("SELECT a FROM t",),
         )
-        reply = execute_task(task)
+        (reply,) = execute_batch(task)
         assert reply.bootstrap_failed
         assert "missing" in (reply.error or "")
 
@@ -143,9 +137,7 @@ class TestWorkerEntryPoints:
         reset_worker_cache()
         ir_path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         ir_path.write_text('{"kind": "repro-parse-program", "oops": 1}')
-        replies = execute_batch(
-            task_for(entry, tmp_path, "", texts=("SELECT a FROM t",))
-        )
+        replies = execute_batch(task_for(entry, tmp_path, "SELECT a FROM t"))
         assert len(replies) == 1
         assert replies[0].bootstrap_failed
         assert replies[0].quarantined  # renamed aside, pool not poisoned
@@ -320,11 +312,21 @@ class TestLifecycle:
     def test_shed_results_code(self, tmp_path):
         service = ParseService(line=make_line(), max_queue=1, max_workers=4)
         try:
+            # a lone batch is admitted whole, even past the 1-slot bound
             results = service.parse_many(list(CORPUS), FULL)
+            assert not any(
+                d.code == SERVICE_OVERLOADED
+                for r in results for d in r.diagnostics
+            )
+            assert service._admit()  # another request holds the slot
+            try:
+                results = service.parse_many(list(CORPUS), FULL)
+            finally:
+                service._release_admission()
             shed = [
                 r for r in results
                 if any(d.code == SERVICE_OVERLOADED for d in r.diagnostics)
             ]
-            assert shed  # admission control fired under the 1-slot queue
+            assert len(shed) == len(CORPUS)  # the batch is shed whole
         finally:
             service.close()

@@ -6,8 +6,18 @@ import pytest
 
 from repro.core import GrammarProductLine
 from repro.core.composer import GrammarComposer
+from repro.parsing.backends import get_backend
 from repro.parsing.codegen import FINGERPRINT_CONSTANT
 from repro.service import ParserRegistry
+from repro.service.artifacts import (
+    CLOSURES,
+    IR,
+    KINDS,
+    LEX,
+    ArtifactMiss,
+    ArtifactStore,
+    render_lexicon,
+)
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -112,61 +122,130 @@ class TestLRU:
         assert len(registry) == 0
 
 
+def build(kind, registry, entry):
+    """Produce one kind's artifact through the registry's own path."""
+    if kind is IR:
+        registry.parse_program(entry)
+    elif kind is CLOSURES:
+        registry.closure_program(entry)
+    else:
+        # the lexicon is written only when publishing for workers
+        entry.publish_worker_artifacts(registry.cache_dir)
+
+
+def read_back(kind, registry, entry):
+    """Serve one kind from the disk cache; the artifact text it decoded to."""
+    if kind is IR:
+        return registry.parse_program(entry).to_json()
+    if kind is CLOSURES:
+        return registry.closure_program(entry).source
+    digest = entry.fingerprint.digest
+    grammar = ArtifactStore(registry.cache_dir, digest).fetch(LEX)
+    return render_lexicon(grammar.tokens, digest, grammar.name, grammar.start)
+
+
+def counter(registry, kind, name):
+    """A per-kind counter (``disk_hits`` -> ``ir_disk_hits`` ...)."""
+    return registry.metrics.counter(f"{kind.counter}_{name}")
+
+
 class TestDiskCache:
+    """Every artifact kind keeps the disk-cache contract: round-trip
+    across registries, tamper -> invalidation, corrupt -> quarantine,
+    nothing written without a cache directory."""
+
     def test_artifact_round_trip_across_registries(self, tmp_path):
-        first = make_registry(cache_dir=tmp_path)
-        entry = first.get(["Query", "Where"])
-        source = first.generated_source(entry)
-        assert first.metrics.counter("compiles") == 1
-        assert first.metrics.counter("disk_misses") == 1
-        artifact = tmp_path / f"{entry.fingerprint.digest}.py"
-        assert artifact.exists()
+        for kind in KINDS:
+            first = make_registry(cache_dir=tmp_path)
+            entry = first.get(["Query", "Where"])
+            build(kind, first, entry)
+            artifact = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
+            assert artifact.exists(), kind.name
+            if kind.counter is not None:
+                assert counter(first, kind, "compiles") == 1, kind.name
+                assert counter(first, kind, "disk_misses") == 1, kind.name
 
-        # a fresh registry (fresh process, in spirit) reuses the artifact
-        second = make_registry(cache_dir=tmp_path)
-        entry2 = second.get(["Query", "Where"])
-        source2 = second.generated_source(entry2)
-        assert source2 == source
-        assert second.metrics.counter("disk_hits") == 1
-        assert second.metrics.counter("compiles") == 0
-
-        module = second.generated_module(entry2)
-        assert module.accepts("SELECT a FROM t WHERE x = y")
+            # a fresh registry (fresh process, in spirit) reuses the artifact
+            second = make_registry(cache_dir=tmp_path)
+            entry2 = second.get(["Query", "Where"])
+            assert read_back(kind, second, entry2) == artifact.read_text()
+            if kind.counter is not None:
+                assert counter(second, kind, "disk_hits") == 1, kind.name
+                assert counter(second, kind, "compiles") == 0, kind.name
+        # the revived artifacts drive a parser
+        parser = entry2.compiled_parser(cache_dir=tmp_path)
+        assert parser.accepts("SELECT a FROM t WHERE x = y")
 
     def test_tampered_artifact_is_invalidated(self, tmp_path):
-        first = make_registry(cache_dir=tmp_path)
-        entry = first.get(["Query", "Where"])
-        first.generated_source(entry)
-        artifact = tmp_path / f"{entry.fingerprint.digest}.py"
+        for kind in KINDS:
+            first = make_registry(cache_dir=tmp_path)
+            entry = first.get(["Query", "Where"])
+            build(kind, first, entry)
+            artifact = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
 
-        # corrupt the embedded provenance: stale-file simulation
-        text = artifact.read_text()
-        assert FINGERPRINT_CONSTANT in text
-        artifact.write_text(
-            text.replace(entry.fingerprint.digest, "0" * 64, 1)
-        )
+            # corrupt the embedded provenance: stale-file simulation
+            text = artifact.read_text()
+            assert entry.fingerprint.digest in text, kind.name
+            artifact.write_text(
+                text.replace(entry.fingerprint.digest, "0" * 64, 1)
+            )
 
-        second = make_registry(cache_dir=tmp_path)
-        entry2 = second.get(["Query", "Where"])
-        source = second.generated_source(entry2)
-        assert second.metrics.counter("disk_invalidations") == 1
-        assert second.metrics.counter("disk_hits") == 0
-        assert second.metrics.counter("compiles") == 1
-        # the regenerated artifact replaces the bad one
-        assert entry.fingerprint.digest in artifact.read_text()
-        assert source is not None
+            second = make_registry(cache_dir=tmp_path)
+            entry2 = second.get(["Query", "Where"])
+            build(kind, second, entry2)
+            if kind.counter is not None:
+                assert counter(second, kind, "disk_invalidations") == 1
+                assert counter(second, kind, "disk_hits") == 0
+                assert counter(second, kind, "compiles") == 1
+                assert counter(second, kind, "corrupt") == 0  # stale only
+            # the rebuilt artifact replaces the bad one
+            assert entry.fingerprint.digest in artifact.read_text(), kind.name
+
+    def test_corrupt_artifact_is_quarantined(self, tmp_path):
+        for kind in KINDS:
+            registry = make_registry(cache_dir=tmp_path)
+            entry = registry.get(["Query", "Where"])
+            build(kind, registry, entry)
+            artifact = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
+            bad = artifact.with_name(artifact.name + ".bad")
+            artifact.write_text("")  # torn write: no provenance at all
+
+            with pytest.raises(ArtifactMiss) as miss:
+                ArtifactStore(tmp_path, entry.fingerprint.digest).fetch(
+                    kind, entry.program()
+                )
+            assert miss.value.reason == "corrupt"
+            assert miss.value.quarantined == (str(artifact),)
+            assert bad.read_text() == ""  # kept aside for post-mortems
+            bad.unlink()
+
+            artifact.write_text("")
+            fresh = make_registry(cache_dir=tmp_path)
+            entry2 = fresh.get(["Query", "Where"])
+            build(kind, fresh, entry2)
+            if kind.counter is not None:
+                assert counter(fresh, kind, "corrupt") == 1, kind.name
+                assert fresh.metrics.counter("quarantined") == 1
+                assert bad.exists(), kind.name
+            # a valid artifact is rebuilt in the clean slot
+            assert entry.fingerprint.digest in artifact.read_text(), kind.name
 
     def test_no_cache_dir_means_no_files(self, registry, tmp_path):
         entry = registry.get(["Query"])
-        registry.generated_source(entry)
+        for kind in (IR, CLOSURES):  # the lexicon needs a directory anyway
+            build(kind, registry, entry)
+            assert counter(registry, kind, "disk_misses") == 0, kind.name
+            assert counter(registry, kind, "compiles") == 1, kind.name
         assert list(tmp_path.iterdir()) == []
-        assert registry.metrics.counter("disk_misses") == 0
 
     def test_set_cache_dir_toggles(self, registry, tmp_path):
         registry.set_cache_dir(tmp_path)
         entry = registry.get(["Query"])
-        registry.generated_source(entry)
-        assert (tmp_path / f"{entry.fingerprint.digest}.py").exists()
+        for kind in KINDS:
+            build(kind, registry, entry)
+            assert (
+                tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
+            ).exists(), kind.name
         registry.set_cache_dir(None)
         assert registry.cache_dir is None
 
@@ -309,13 +388,18 @@ class TestProgramDiskCache:
         assert first.metrics.counter("ir_compiles") == 1
 
     def test_generated_source_shares_the_entry_program(self, tmp_path):
+        """Codegen prints from the entry's (disk-cached) program: the
+        generated backend compiles no second IR."""
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query", "GroupBy"])
-        registry.generated_source(entry)
-        # codegen compiled (and cached) the one shared program
+        program = registry.parse_program(entry)
+        generated = get_backend("generated").build(
+            entry.product, program=program
+        )
         assert registry.metrics.counter("ir_compiles") == 1
         assert (tmp_path / f"{entry.fingerprint.digest}.ir.json").exists()
         assert registry.parse_program(entry) is entry.program()
+        assert generated.accepts("SELECT a FROM t GROUP BY a")
 
     def test_thread_parsers_share_one_program(self, registry):
         entry = registry.get(["Query"])
@@ -362,19 +446,19 @@ class TestQuarantine:
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query"])
         ir_path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
-        src_path = tmp_path / f"{entry.fingerprint.digest}.py"
+        closures_path = tmp_path / f"{entry.fingerprint.digest}.closures.py"
         ir_path.write_text("")
-        src_path.write_text("")
+        closures_path.write_text("")
 
         assert registry.parse_program(entry) is not None
-        source = registry.generated_source(entry)
-        assert FINGERPRINT_CONSTANT in source
+        closure = registry.closure_program(entry)
+        assert FINGERPRINT_CONSTANT in closure.source
         assert registry.metrics.counter("ir_corrupt") == 1
-        assert registry.metrics.counter("source_corrupt") == 1
+        assert registry.metrics.counter("closure_corrupt") == 1
         assert registry.metrics.counter("quarantined") == 2
         # both slots hold fresh, valid artifacts again
         assert entry.fingerprint.digest in ir_path.read_text()
-        assert entry.fingerprint.digest in src_path.read_text()
+        assert entry.fingerprint.digest in closures_path.read_text()
 
     def test_mismatched_fingerprint_is_stale_not_corrupt(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
